@@ -9,76 +9,4 @@ enumeration, central finite differences); `python -m metactc selfcheck`
 reruns those audits.
 """
 
-from . import errors
-from .ctc import (
-    Alphabet,
-    DEFAULT_BEAM_WIDTH,
-    beam_decode,
-    cer,
-    collapse,
-    ctc_brute_force,
-    ctc_forward_loss,
-    ctc_loss,
-    edit_distance,
-    greedy_decode,
-    min_frames,
-)
-from .diffcore import (
-    ForwardCache,
-    LayerSpec,
-    NamedParams,
-    backward_layer,
-    finite_diff_grad,
-    forward_layer,
-    grad_relative_error,
-    init_layer_params,
-    load_params,
-    save_params,
-    sgd_step,
-)
-from .metatrain import (
-    EpisodeConfig,
-    FinetuneConfig,
-    TaskBatchSample,
-    TrainLog,
-    batch_mean_loss,
-    evaluate_task,
-    exact_meta_grad_fd,
-    finetune,
-    learn,
-    meta_episode,
-    meta_update,
-    multitask_grads,
-    multitask_step,
-    pretrain,
-    sample_episode,
-    select_checkpoint,
-)
-from .model import (
-    EncoderConfig,
-    MultiHeadModel,
-    batch_loss_and_grads,
-    default_encoder_config,
-    encode,
-    ensure_head,
-    head_forward,
-    init_head,
-    init_model,
-    load_model,
-    save_model,
-    transcribe,
-    utterance_loss_and_grads,
-)
-from .tasks import (
-    LanguageTask,
-    SyntheticFamilyConfig,
-    Utterance,
-    default_family_config,
-    family_prototypes,
-    generate_family,
-    load_corpus,
-    save_corpus,
-    split_limited,
-)
-
 __version__ = "0.1.0"

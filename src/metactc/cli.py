@@ -256,6 +256,8 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.beam < 1:
+        raise ConfigError(f"--beam must be positive, got {args.beam}")
     task = tasks.load_corpus(args.corpus)
     loaded, _ = model_mod.load_model(args.checkpoint)
     with _locked_out_dir(args.out):
@@ -292,19 +294,21 @@ def _discover_checkpoints(directory: str) -> list[tuple[int, str]]:
         base = sidecar[: -len(".json")]
         if not os.path.exists(base + ".params"):
             raise ValidationError(f"checkpoint {base!r} is missing its .params file")
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            step = json.load(fh).get("pretrain_step")
-        bases.append((int(step) if step is not None else -1, base))
+        step = model_mod.read_sidecar(base).get("pretrain_step")
+        bases.append((-1 if step is None else step, base))
     if not bases:
         raise ConfigError(f"no checkpoint_*.json files under {directory!r}")
     return sorted(bases)
 
 
 def cmd_curve(args) -> int:
+    try:
+        wanted = {int(s) for s in args.steps.split(",")} if args.steps else None
+    except ValueError:
+        raise ConfigError(f"--steps takes comma-separated integers, got {args.steps!r}") from None
     task = tasks.load_corpus(args.corpus)
     found = _discover_checkpoints(args.checkpoints)
-    if args.steps:
-        wanted = {int(s) for s in args.steps.split(",")}
+    if wanted is not None:
         missing = wanted - {step for step, _ in found}
         if missing:
             raise ConfigError(f"steps {sorted(missing)} have no checkpoint in {args.checkpoints!r}")

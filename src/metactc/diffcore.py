@@ -61,7 +61,9 @@ class NamedParams:
 
     @classmethod
     def _from_owned(cls, entries: dict[str, Array]) -> "NamedParams":
-        # fast path: caller guarantees fresh float64 C-contiguous arrays
+        # fast path, no validation or copy: the caller hands over 2-D float64
+        # arrays that nothing else writes to, either fresh results or entries
+        # of another NamedParams (already validated and read-only)
         out = object.__new__(cls)
         for arr in entries.values():
             arr.setflags(write=False)
@@ -149,7 +151,7 @@ class NamedParams:
             for n, a in self._entries.items()
             if n.startswith(prefix)
         }
-        return NamedParams(picked)
+        return NamedParams._from_owned(picked)
 
     def with_prefix(self, prefix: str) -> "NamedParams":
         return NamedParams({prefix + n: a for n, a in self._entries.items()})
@@ -245,8 +247,8 @@ def layer_param_shapes(spec: LayerSpec) -> dict[str, tuple[int, int]]:
     return {}
 
 
-def init_layer_params(spec: LayerSpec, rng: np.random.Generator) -> NamedParams:
-    """Seeded uniform init in [-r, r], r = 1/sqrt(fan-in).
+def init_uniform(shapes: Mapping[str, tuple[int, int]], rng: np.random.Generator) -> NamedParams:
+    """Seeded uniform init in [-r, r], r = 1/sqrt(fan-in), of matrices with these shapes.
 
     Fan-in is taken per matrix: the row count for weights (the input
     dimension of the linear map they implement) and the hidden/output width
@@ -254,11 +256,16 @@ def init_layer_params(spec: LayerSpec, rng: np.random.Generator) -> NamedParams:
     state always produces the same parameters.
     """
     entries: dict[str, Array] = {}
-    for name, (rows, cols) in sorted(layer_param_shapes(spec).items()):
+    for name, (rows, cols) in sorted(shapes.items()):
         fan_in = cols if rows == 1 else rows
         r = 1.0 / np.sqrt(fan_in)
         entries[name] = rng.uniform(-r, r, size=(rows, cols))
     return NamedParams(entries)
+
+
+def init_layer_params(spec: LayerSpec, rng: np.random.Generator) -> NamedParams:
+    """Seeded init_uniform draw of one layer's parameters."""
+    return init_uniform(layer_param_shapes(spec), rng)
 
 
 @dataclass(frozen=True)
@@ -512,8 +519,10 @@ def load_params(path) -> NamedParams:
     for item in header:
         try:
             name, rows, cols = item["name"], int(item["rows"]), int(item["cols"])
-        except (TypeError, KeyError) as exc:
+        except (TypeError, KeyError, ValueError) as exc:
             raise ParseError(f"{path}: malformed header entry {item!r}") from exc
+        if rows < 0 or cols < 0:
+            raise ParseError(f"{path}: negative shape {rows}x{cols} for {name!r}")
         nbytes = rows * cols * 8
         if offset + nbytes > len(blob):
             raise ParseError(f"{path}: payload truncated at {name!r}")

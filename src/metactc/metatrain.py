@@ -162,19 +162,27 @@ def batch_mean_loss(model: MultiHeadModel, task_id: str, batch: Sequence[Utteran
     return total / len(batch)
 
 
+def _apply_grads(
+    model: MultiHeadModel, enc_grad: NamedParams, head_grads: dict[str, NamedParams], lr: float
+) -> MultiHeadModel:
+    """One SGD step at lr: the encoder against enc_grad, each listed head against its gradient."""
+    model = model.with_encoder(sgd_step(model.encoder_params, enc_grad, lr))
+    for task_id, head_g in head_grads.items():
+        model = model.with_head(task_id, sgd_step(model.head(task_id), head_g, lr))
+    return model
+
+
 def learn(
     model: MultiHeadModel,
     task_id: str,
     data: Sequence[Utterance],
     lr: float,
     steps: int = 1,
-    record: list | None = None,
 ) -> MultiHeadModel:
     """Plain SGD on one task: adapts the encoder and that task's head.
 
     Every step moves against the mean per-utterance gradient of the whole
-    batch.  When record is a list, the mean loss recomputed on the same data
-    after each step is appended to it.  The input model is unmodified.
+    batch.  The input model is unmodified.
     """
     if not len(data):
         raise ValidationError("learn needs at least one utterance")
@@ -184,10 +192,7 @@ def learn(
         raise ConfigError("lr must be non-negative")
     for _ in range(steps):
         _, enc_g, head_g = _mean_batch_grads(model, task_id, data)
-        model = model.with_encoder(sgd_step(model.encoder_params, enc_g, lr))
-        model = model.with_head(task_id, sgd_step(model.head(task_id), head_g, lr))
-        if record is not None:
-            record.append(batch_mean_loss(model, task_id, data))
+        model = _apply_grads(model, enc_g, {task_id: head_g}, lr)
     return model
 
 
@@ -218,39 +223,36 @@ def multitask_grads(
 
 def multitask_step(
     model: MultiHeadModel, batches: Sequence[tuple[str, Sequence[Utterance]]], lr: float
-) -> MultiHeadModel:
-    """One SGD step on the summed per-language batch objectives."""
-    _, enc_g, head_totals = multitask_grads(model, batches)
-    out = model.with_encoder(sgd_step(model.encoder_params, enc_g, lr))
-    for task_id, head_g in head_totals.items():
-        out = out.with_head(task_id, sgd_step(out.head(task_id), head_g, lr))
-    return out
+) -> tuple[MultiHeadModel, list[tuple[str, float]]]:
+    """One SGD step on the summed per-language batch objectives.
+
+    Returns the updated model and the per-batch (task_id, mean loss) pairs.
+    """
+    task_losses, enc_g, head_totals = multitask_grads(model, batches)
+    return _apply_grads(model, enc_g, head_totals, lr), task_losses
 
 
 def _adapt_and_eval(
     model: MultiHeadModel, samples: Sequence[TaskBatchSample], cfg: EpisodeConfig
-) -> tuple[NamedParams, float, list[tuple[str, float]], dict[str, NamedParams]]:
-    """Shared core of meta_episode / meta_update / pretrain.
+) -> tuple[NamedParams, list[tuple[str, float]], dict[str, NamedParams]]:
+    """Shared core of meta_episode and meta_step.
 
     For each sample: run the inner loop, evaluate the test subset at the
     adapted parameters, and accumulate the first-order encoder meta-gradient
-    in sample order.  Returns (meta_grad, meta_loss, per-task losses,
-    adapted heads).
+    in sample order.  Returns (meta_grad, per-task losses, adapted heads).
     """
     if not len(samples):
         raise ValidationError("episode needs at least one task sample")
     meta_grad: NamedParams | None = None
-    meta_loss = 0.0
     task_losses: list[tuple[str, float]] = []
     adapted_heads: dict[str, NamedParams] = {}
     for sample in samples:
         adapted = learn(model, sample.task_id, sample.train_set, cfg.inner_lr, cfg.inner_steps)
         loss, enc_g, _ = _mean_batch_grads(adapted, sample.task_id, sample.test_set)
         meta_grad = enc_g if meta_grad is None else meta_grad.add(enc_g)
-        meta_loss += loss
         task_losses.append((sample.task_id, loss))
         adapted_heads[sample.task_id] = adapted.head(sample.task_id)
-    return meta_grad, meta_loss, task_losses, adapted_heads
+    return meta_grad, task_losses, adapted_heads
 
 
 def meta_episode(
@@ -263,27 +265,24 @@ def meta_episode(
     parameters, and tasks add in sample order.  The input model is never
     modified.
     """
-    meta_grad, meta_loss, _, _ = _adapt_and_eval(model, samples, cfg)
-    return meta_grad, meta_loss
+    meta_grad, task_losses, _ = _adapt_and_eval(model, samples, cfg)
+    return meta_grad, sum(loss for _, loss in task_losses)
 
 
-def meta_update(
-    model: MultiHeadModel,
-    meta_grad: NamedParams,
-    samples: Sequence[TaskBatchSample],
-    cfg: EpisodeConfig,
-) -> MultiHeadModel:
-    """Apply one meta step: encoder moves by meta_lr against meta_grad.
+def meta_step(
+    model: MultiHeadModel, samples: Sequence[TaskBatchSample], cfg: EpisodeConfig
+) -> tuple[MultiHeadModel, list[tuple[str, float]]]:
+    """One meta step: the encoder moves by meta_lr against the episode's meta-gradient.
 
-    Sampled tasks' heads are replaced by their inner-adapted versions
-    (recomputed from the pre-update encoder, exactly as the episode saw
-    them); unsampled heads are untouched.
+    Sampled tasks' heads are replaced by their inner-adapted versions (adapted
+    from the pre-update encoder); unsampled heads are untouched.  Returns the
+    updated model and the per-task adapted test losses.
     """
-    _, _, _, adapted_heads = _adapt_and_eval(model, samples, cfg)
-    out = model.with_encoder(sgd_step(model.encoder_params, meta_grad, cfg.meta_lr))
+    meta_grad, task_losses, adapted_heads = _adapt_and_eval(model, samples, cfg)
+    model = _apply_grads(model, meta_grad, {}, cfg.meta_lr)
     for task_id, head in adapted_heads.items():
-        out = out.with_head(task_id, head)
-    return out
+        model = model.with_head(task_id, head)
+    return model, task_losses
 
 
 def exact_meta_grad_fd(
@@ -405,22 +404,11 @@ def pretrain(
 
     for step_idx in range(1, total_steps + 1):
         if regime == "meta":
-            samples = sample_episode(rng, tasks, cfg)
-            meta_grad, meta_loss, task_losses, adapted_heads = _adapt_and_eval(
-                model, samples, cfg
-            )
-            model = model.with_encoder(
-                sgd_step(model.encoder_params, meta_grad, cfg.meta_lr)
-            )
-            for task_id, head in adapted_heads.items():
-                model = model.with_head(task_id, head)
+            model, task_losses = meta_step(model, sample_episode(rng, tasks, cfg), cfg)
         else:
             batches = sample_multitask_batches(rng, tasks, cfg.n_train)
-            task_losses, enc_g, head_totals = multitask_grads(model, batches)
-            meta_loss = sum(loss for _, loss in task_losses)
-            model = model.with_encoder(sgd_step(model.encoder_params, enc_g, cfg.meta_lr))
-            for task_id, head_g in head_totals.items():
-                model = model.with_head(task_id, sgd_step(model.head(task_id), head_g, cfg.meta_lr))
+            model, task_losses = multitask_step(model, batches, cfg.meta_lr)
+        meta_loss = sum(loss for _, loss in task_losses)
 
         if not np.isfinite(meta_loss):
             raise NumericError(f"non-finite loss at pretraining step {step_idx}")
@@ -442,7 +430,7 @@ def pretrain(
 
 @dataclass(frozen=True)
 class FinetuneConfig:
-    """Budget for adapting to one language; also used by checkpoint selection."""
+    """Budget for adapting to one language."""
 
     epochs: int = 20
     lr: float = 0.05
@@ -505,10 +493,7 @@ def finetune(
             batch = [data[int(i)] for i in order[lo: lo + cfg.batch_size]]
             loss, enc_g, head_g = _mean_batch_grads(model, task.language_id, batch)
             seen_loss += loss * len(batch)
-            model = model.with_encoder(sgd_step(model.encoder_params, enc_g, cfg.lr))
-            model = model.with_head(
-                task.language_id, sgd_step(model.head(task.language_id), head_g, cfg.lr)
-            )
+            model = _apply_grads(model, enc_g, {task.language_id: head_g}, cfg.lr)
         train_loss = seen_loss / len(data)
         if not np.isfinite(train_loss):
             raise NumericError(f"non-finite training loss in epoch {epoch}")
@@ -543,37 +528,3 @@ def evaluate_task(
         )
     value = cer([r[1] for r in rows], [r[2] for r in rows])
     return value, rows
-
-
-def select_checkpoint(
-    checkpoint_paths: Sequence[str],
-    validation_tasks: Sequence[LanguageTask],
-    cfg: FinetuneConfig,
-) -> tuple[str, list[tuple[int, str, float]]]:
-    """Pick the pretraining step that transfers best to held-out languages.
-
-    Each checkpoint is briefly fine-tuned on every validation task's limited
-    split (fresh seeded head per task) and scored by CER on that task's test
-    split; the checkpoint with the lowest average wins, earliest step on
-    ties.  Returns (best base path, [(step, path, avg_cer), ...]).
-    """
-    if not checkpoint_paths:
-        raise ConfigError("no checkpoints to select from")
-    if not validation_tasks:
-        raise ConfigError("checkpoint selection needs at least one validation task")
-    table = []
-    for path in checkpoint_paths:
-        loaded, sidecar = model_mod.load_model(path)
-        step = sidecar.get("pretrain_step")
-        step = -1 if step is None else int(step)
-        cers = []
-        for task in validation_tasks:
-            candidate = model_mod.ensure_head(loaded, task.language_id, task.alphabet, cfg.seed)
-            result = finetune(candidate, task, cfg, split="limited")
-            value, _ = evaluate_task(result.model, task, split="test", beam=cfg.beam)
-            cers.append(value)
-        table.append((step, path, float(np.mean(cers))))
-    table.sort(key=lambda row: (row[2], row[0]))
-    best_path = table[0][1]
-    table.sort(key=lambda row: row[0])
-    return best_path, table

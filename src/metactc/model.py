@@ -112,7 +112,7 @@ class EncoderConfig:
                 hidden_dim=int(data["hidden_dim"]),
                 subsample_stride=int(data["subsample_stride"]),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # DimensionError is a ValueError
             raise ParseError(f"malformed encoder config: {exc!r}") from exc
 
 
@@ -211,13 +211,7 @@ def head_param_shapes(config: EncoderConfig, alphabet: Alphabet) -> dict[str, tu
 
 def init_head(config: EncoderConfig, alphabet: Alphabet, seed: int) -> NamedParams:
     """Seeded head init, same uniform 1/sqrt(fan-in) rule as encoder layers."""
-    rng = np.random.default_rng(seed)
-    entries = {}
-    for name, (rows, cols) in sorted(head_param_shapes(config, alphabet).items()):
-        fan_in = cols if rows == 1 else rows
-        r = 1.0 / np.sqrt(fan_in)
-        entries[name] = rng.uniform(-r, r, size=(rows, cols))
-    return NamedParams(entries)
+    return diffcore.init_uniform(head_param_shapes(config, alphabet), np.random.default_rng(seed))
 
 
 def init_model(
@@ -235,14 +229,10 @@ def init_model(
         for name, arr in layer.items():
             enc_entries[_layer_prefix(i) + name] = arr
     encoder = NamedParams(enc_entries)
-    heads = {}
-    for lang in sorted(alphabets):
-        entries = {}
-        for name, (rows, cols) in sorted(head_param_shapes(config, alphabets[lang]).items()):
-            fan_in = cols if rows == 1 else rows
-            r = 1.0 / np.sqrt(fan_in)
-            entries[name] = rng.uniform(-r, r, size=(rows, cols))
-        heads[lang] = NamedParams(entries)
+    heads = {
+        lang: diffcore.init_uniform(head_param_shapes(config, alphabets[lang]), rng)
+        for lang in sorted(alphabets)
+    }
     return MultiHeadModel(config, encoder, heads, dict(alphabets))
 
 
@@ -416,22 +406,30 @@ def save_model(
     return params_path, sidecar_path
 
 
+def read_sidecar(base_path: str) -> dict:
+    """The JSON sidecar of checkpoint <base_path>; ParseError when it is malformed."""
+    sidecar_path = base_path + ".json"
+    try:
+        with open(sidecar_path, "r", encoding="utf-8") as fh:
+            sidecar = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{sidecar_path}: {exc}") from exc
+    if not isinstance(sidecar, dict) or "config" not in sidecar:
+        raise ParseError(f"{sidecar_path}: not a model sidecar")
+    step = sidecar.get("pretrain_step")
+    if step is not None and not isinstance(step, int):
+        raise ParseError(f"{sidecar_path}: pretrain_step must be an integer, got {step!r}")
+    return sidecar
+
+
 def load_model(base_path: str) -> tuple[MultiHeadModel, dict]:
     """Read a checkpoint written by save_model; returns (model, sidecar dict)."""
     base, ext = os.path.splitext(base_path)
     if ext in (".params", ".json"):
         base_path = base
-    sidecar_path = base_path + ".json"
-    params_path = base_path + ".params"
-    try:
-        with open(sidecar_path, "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{sidecar_path}: {exc}") from exc
-    if not isinstance(sidecar, dict) or "config" not in sidecar:
-        raise ParseError(f"{sidecar_path}: not a model sidecar")
+    sidecar = read_sidecar(base_path)
     config = EncoderConfig.from_json_dict(sidecar["config"])
-    combined = diffcore.load_params(params_path)
+    combined = diffcore.load_params(base_path + ".params")
     encoder = combined.subset(ENCODER_PREFIX)
     heads = {}
     alphabets = {}

@@ -232,3 +232,62 @@ def test_curve_missing_checkpoints_exits_2(workspace, tmp_path):
         "--corpus", str(workspace / "corpora" / "blue.jsonl"),
         "--out", str(tmp_path / "cv3"),
     ]) == 2
+
+
+def test_curve_non_integer_steps_exits_2(workspace, tmp_path):
+    assert main([
+        "curve", "--checkpoints", str(workspace / "pre"),
+        "--corpus", str(workspace / "corpora" / "blue.jsonl"),
+        "--steps", "2,x", "--out", str(tmp_path / "cv4"),
+    ]) == 2
+
+
+def test_evaluate_zero_beam_exits_2_before_decoding(workspace, tmp_path):
+    out = tmp_path / "ev0"
+    assert main([
+        "evaluate", "--checkpoint", str(workspace / "pre" / "checkpoint_000004"),
+        "--corpus", str(workspace / "corpora" / "blue.jsonl"),
+        "--beam", "0", "--out", str(out),
+    ]) == 2
+    assert not out.exists()
+
+
+def _copy_checkpoint(workspace, directory):
+    directory.mkdir()
+    for ext in (".params", ".json"):
+        src = workspace / "pre" / f"checkpoint_000004{ext}"
+        (directory / src.name).write_bytes(src.read_bytes())
+    return directory / "checkpoint_000004"
+
+
+def test_corrupt_checkpoints_exit_3(workspace, tmp_path):
+    corpus = str(workspace / "corpora" / "blue.jsonl")
+
+    bad_json = _copy_checkpoint(workspace, tmp_path / "bad_json")
+    bad_json.with_suffix(".json").write_text("{bad")
+    assert main([
+        "curve", "--checkpoints", str(bad_json.parent), "--corpus", corpus,
+        "--epochs", "1", "--out", str(tmp_path / "cv"),
+    ]) == 3
+
+    negative = _copy_checkpoint(workspace, tmp_path / "negative")
+    raw = negative.with_suffix(".params").read_bytes()
+    header, _, payload = raw.partition(b"\n")
+    entries = json.loads(header)
+    entries[0]["rows"] = -entries[0]["rows"]
+    negative.with_suffix(".params").write_bytes(
+        json.dumps(entries, separators=(",", ":")).encode() + b"\n" + payload
+    )
+    assert main([
+        "evaluate", "--checkpoint", str(negative), "--corpus", corpus,
+        "--out", str(tmp_path / "ev_neg"),
+    ]) == 3
+
+    stride = _copy_checkpoint(workspace, tmp_path / "stride")
+    sidecar = json.loads(stride.with_suffix(".json").read_text())
+    sidecar["config"]["subsample_stride"] = 3
+    stride.with_suffix(".json").write_text(json.dumps(sidecar))
+    assert main([
+        "finetune", "--checkpoint", str(stride), "--corpus", corpus,
+        "--epochs", "1", "--out", str(tmp_path / "ft_stride"),
+    ]) == 3

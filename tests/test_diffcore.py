@@ -299,3 +299,8 @@ def test_load_params_rejects_corruption(tmp_path, rng):
     (tmp_path / "junk.params").write_bytes(b"not json\n" + raw)
     with pytest.raises(ParseError):
         load_params(tmp_path / "junk.params")
+
+    header = b'[{"name":"v","rows":-2,"cols":2},{"name":"w","rows":2,"cols":2}]'
+    (tmp_path / "negative.params").write_bytes(header + raw[raw.index(b"\n"):])
+    with pytest.raises(ParseError):
+        load_params(tmp_path / "negative.params")

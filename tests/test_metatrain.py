@@ -17,13 +17,12 @@ from metactc.metatrain import (
     finetune,
     learn,
     meta_episode,
-    meta_update,
+    meta_step,
     multitask_grads,
     multitask_step,
     pretrain,
     sample_episode,
     sample_multitask_batches,
-    select_checkpoint,
 )
 from metactc.model import batch_loss_and_grads, init_model
 from metactc.tasks import SyntheticFamilyConfig, generate_family
@@ -112,13 +111,14 @@ def test_learn_is_one_sgd_step_on_mean_gradient(family):
     assert not model.encoder_params.same_values(out.encoder_params)
 
 
-def test_learn_records_decreasing_loss(family):
+def test_learn_lowers_batch_mean_loss(family):
     task = family[0]
     model = _model(family)
-    record = []
-    learn(model, task.language_id, task.full_split[:4], lr=0.05, steps=6, record=record)
-    assert len(record) == 6
-    assert record[-1] < record[0]
+    data = task.full_split[:4]
+    out = learn(model, task.language_id, data, lr=0.05, steps=6)
+    assert batch_mean_loss(out, task.language_id, data) < batch_mean_loss(
+        model, task.language_id, data
+    )
 
 
 def test_learn_validation(family):
@@ -159,10 +159,11 @@ def test_multitask_duplicate_batch_doubles(family):
 def test_multitask_step_moves_all_heads(family):
     model = _model(family)
     batches = [(t.language_id, t.full_split[:2]) for t in family]
-    out = multitask_step(model, batches, lr=0.05)
+    out, losses = multitask_step(model, batches, lr=0.05)
     for t in family:
         assert not out.heads[t.language_id].same_values(model.heads[t.language_id])
     assert not out.encoder_params.same_values(model.encoder_params)
+    assert losses == multitask_grads(model, batches)[0]
 
 
 def test_multitask_rejects_empty(family):
@@ -194,13 +195,15 @@ def test_meta_grad_adds_over_duplicate_samples(family):
     assert l2 == pytest.approx(2 * l1, rel=1e-15)
 
 
-def test_meta_update_semantics(family):
+def test_meta_step_semantics(family):
     model = _model(family)
     cfg = EpisodeConfig(inner_lr=0.05, meta_lr=0.02, n_train=2, n_test=2)
     samples = _episode(family, cfg)[:1]  # only the first task adapts
-    meta_grad, _ = meta_episode(model, samples, cfg)
-    out = meta_update(model, meta_grad, samples, cfg)
+    meta_grad, meta_loss = meta_episode(model, samples, cfg)
+    out, task_losses = meta_step(model, samples, cfg)
 
+    assert [task_id for task_id, _ in task_losses] == [samples[0].task_id]
+    assert sum(loss for _, loss in task_losses) == meta_loss
     want_enc = sgd_step(model.encoder_params, meta_grad, cfg.meta_lr)
     assert out.encoder_params.same_values(want_enc)
 
@@ -302,9 +305,7 @@ def test_pretrain_meta_path_equals_episode_plus_update(family, tmp_path):
     rng = np.random.default_rng(9)
     manual = model
     for _ in range(3):
-        samples = sample_episode(rng, family, cfg)
-        grad, _ = meta_episode(manual, samples, cfg)
-        manual = meta_update(manual, grad, samples, cfg)
+        manual, _ = meta_step(manual, sample_episode(rng, family, cfg), cfg)
 
     assert fused.encoder_params.same_values(manual.encoder_params)
     for lang in manual.languages:
@@ -324,7 +325,7 @@ def test_pretrain_multi_path_equals_manual_steps(family, tmp_path):
     manual = model
     for _ in range(2):
         batches = sample_multitask_batches(rng, family, cfg.n_train)
-        manual = multitask_step(manual, batches, cfg.meta_lr)
+        manual, _ = multitask_step(manual, batches, cfg.meta_lr)
 
     assert got.encoder_params.same_values(manual.encoder_params)
     for lang in manual.languages:
@@ -377,7 +378,7 @@ def test_train_log_roundtrip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# fine-tune / evaluate / select
+# fine-tune / evaluate
 
 
 def test_finetune_is_deterministic(family):
@@ -411,27 +412,3 @@ def test_evaluate_report_is_self_consistent(family):
     value, rows = evaluate_task(model, task, split="test", beam=2)
     assert value == pytest.approx(cer([r[1] for r in rows], [r[2] for r in rows]))
     assert {r[0] for r in rows} == {u.uid for u in task.test_split}
-
-
-def test_select_checkpoint_prefers_transferable(family, tmp_path):
-    target = family[0]
-    model = _model(family)
-    trained = finetune(
-        model_mod.ensure_head(model, target.language_id, target.alphabet, 0),
-        target,
-        FinetuneConfig(epochs=8, lr=0.08, batch_size=4, seed=1),
-        split="full",
-    ).model
-    good = str(tmp_path / "good")
-    bad = str(tmp_path / "bad")
-    model_mod.save_model(trained, good, pretrain_step=200, seed=0)
-    model_mod.save_model(_model(family, seed=123), bad, pretrain_step=100, seed=0)
-
-    cfg = FinetuneConfig(epochs=1, lr=0.05, batch_size=4, seed=2)
-    best, table = select_checkpoint([bad, good], [target], cfg)
-    assert best == good
-    assert [row[0] for row in table] == [100, 200]  # sorted by step
-    with pytest.raises(ConfigError):
-        select_checkpoint([], [target], cfg)
-    with pytest.raises(ConfigError):
-        select_checkpoint([good], [], cfg)
