@@ -311,6 +311,11 @@ def beam_decode(log_probs, alphabet: Alphabet, beam: int = DEFAULT_BEAM_WIDTH) -
     while a beam at least as wide as every row and every live prefix prunes
     nothing and returns the exact posterior argmax.  Ties break toward the
     lexicographically smaller prefix.
+
+    The beam is a list of prefix tuples with parallel arrays of those two
+    log-probabilities and each prefix's last emission.  Every frame scores all
+    beam x candidate extensions as one matrix, and an extension that equals a
+    live prefix merges into it through a lookup of that prefix's parent.
     """
     lp = validate_lattice(log_probs)
     if lp.shape[1] != alphabet.n_emissions:
@@ -320,42 +325,83 @@ def beam_decode(log_probs, alphabet: Alphabet, beam: int = DEFAULT_BEAM_WIDTH) -
     if beam < 1:
         raise ValidationError("beam width must be at least 1")
     T, K = lp.shape
+    width = min(beam, K)
 
-    # prefix -> [log P(ending in blank), log P(ending in last symbol)]
-    beams: dict[tuple[int, ...], list[float]] = {(): [0.0, _NEG_INF]}
+    # candidate emissions of every frame, the same stable order greedy_decode
+    # and beam=1 agree on; outside them a frame's emissions count as -inf
+    cand = np.argsort(-lp, axis=1, kind="stable")[:, :width]
+    rows = np.arange(T)[:, None]
+    column = np.full((T, K), -1)
+    column[rows, cand] = np.arange(width)
+    allowed = np.where(column >= 0, lp, _NEG_INF)
+    column[:, BLANK] = -1  # blank never extends a prefix
+    grow_lp = np.where(cand == BLANK, _NEG_INF, lp[rows, cand])
+
+    # the beam: prefix tuples plus, per prefix, log P(ending in blank), log P(ending
+    # in the last symbol) and that symbol's emission (blank for the empty prefix)
+    prefixes: list[tuple[int, ...]] = [()]
+    pb = np.zeros(1)
+    pnb = np.full(1, _NEG_INF)
+    last = np.full(1, BLANK)
     for t in range(T):
-        row = lp[t]
-        cand = np.argsort(-row, kind="stable")[: min(beam, K)]
-        nxt: dict[tuple[int, ...], list[float]] = {}
+        total = np.logaddexp(pb, pnb)
+        # staying on a prefix: a blank, or a repeat that merges into the last symbol
+        stay_b = total + allowed[t, BLANK]
+        stay_nb = pnb + allowed[t, last]
+        # extension (i, c) appends cand[t, c] to prefix i; after an equal last
+        # symbol only the paths ending in blank extend, the rest are the repeat
+        grow = np.where(last[:, None] == cand[t], pb[:, None], total[:, None]) + grow_lp[t]
 
-        def bump(prefix, slot, value):
-            if value == _NEG_INF:
-                return
-            entry = nxt.setdefault(prefix, [_NEG_INF, _NEG_INF])
-            entry[slot] = np.logaddexp(entry[slot], value)
+        # an extension equal to a live prefix merges into it, found by one parent
+        # lookup per live prefix; a symbol-ending slot then sums at most two terms,
+        # the repeat and the parent's extension
+        index = {p: i for i, p in enumerate(prefixes)}
+        parent = np.array([index.get(p[:-1], -1) if p else -1 for p in prefixes])
+        pos = column[t, last]
+        child = np.flatnonzero((parent >= 0) & (pos >= 0))
+        if child.size:
+            j, c = parent[child], pos[child]
+            stay_nb[child] = np.logaddexp(stay_nb[child], grow[j, c])
+            grow[j, c] = _NEG_INF
 
-        for prefix in sorted(beams):
-            pb, pnb = beams[prefix]
-            total = np.logaddexp(pb, pnb)
-            for k in cand:
-                v = row[k]
-                if k == BLANK:
-                    bump(prefix, 0, total + v)
-                    continue
-                label = int(k) - 1
-                if prefix and prefix[-1] == label:
-                    bump(prefix, 1, pnb + v)          # repeat merges into the prefix
-                    bump(prefix + (label,), 1, pb + v)  # blank-separated re-emission
-                else:
-                    bump(prefix + (label,), 1, total + v)
+        # stays, then extensions, laid out as _beam_entries reads them; an extension
+        # has no blank-ending mass, so its score is its grow entry itself
+        score = np.concatenate([np.logaddexp(stay_b, stay_nb), grow.ravel()])
+        keep = np.flatnonzero(score > _NEG_INF)
+        if keep.size > beam:
+            # the `beam` best; ties at the cut-off go to the smaller prefix
+            cut = np.sort(score[keep])[-beam]
+            tied = keep[score[keep] == cut]
+            keep = keep[score[keep] > cut]
+            tied_prefixes, _ = _beam_entries(prefixes, last, cand[t], tied)
+            order = sorted(range(tied.size), key=tied_prefixes.__getitem__)
+            keep = np.concatenate([keep, tied[order[: beam - keep.size]]])
+        pb = np.concatenate([stay_b, np.full(grow.size, _NEG_INF)])[keep]
+        pnb = np.concatenate([stay_nb, grow.ravel()])[keep]
+        prefixes, last = _beam_entries(prefixes, last, cand[t], keep)
 
-        ranked = sorted(
-            nxt.items(), key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0])
-        )
-        beams = dict(ranked[:beam])
+    total = np.logaddexp(pb, pnb)
+    best = min(prefixes[i] for i in np.flatnonzero(total == total.max()))
+    return np.array(best, dtype=np.int64)
 
-    best = min(beams.items(), key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0]))
-    return np.array(best[0], dtype=np.int64)
+
+def _beam_entries(
+    prefixes: list[tuple[int, ...]], last: np.ndarray, cand: np.ndarray, entries: np.ndarray
+) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Prefixes and last emissions of the given entries of one beam_decode frame.
+
+    Entry n < len(prefixes) stays on prefix n; entry len(prefixes) + i*cand.size + c
+    appends emission cand[c] to prefix i.
+    """
+    stays = entries < len(prefixes)
+    src, c = np.divmod(entries - len(prefixes), cand.size)
+    src = np.where(stays, entries, src)
+    emit = np.where(stays, last[src], cand[c])
+    out = [
+        prefixes[i] if s else prefixes[i] + (e - 1,)
+        for i, s, e in zip(src.tolist(), stays.tolist(), emit.tolist())
+    ]
+    return out, emit
 
 
 # ---------------------------------------------------------------------------

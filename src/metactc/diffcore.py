@@ -121,11 +121,6 @@ class NamedParams:
         f = float(factor)
         return NamedParams._from_owned({n: f * a for n, a in self._entries.items()})
 
-    def zeros_like(self) -> "NamedParams":
-        return NamedParams._from_owned(
-            {n: np.zeros_like(a) for n, a in self._entries.items()}
-        )
-
     def norm(self) -> float:
         """Frobenius norm over all entries."""
         return float(np.sqrt(sum(float(np.sum(a * a)) for a in self._entries.values())))
@@ -521,6 +516,10 @@ def load_params(path) -> NamedParams:
             name, rows, cols = item["name"], int(item["rows"]), int(item["cols"])
         except (TypeError, KeyError, ValueError) as exc:
             raise ParseError(f"{path}: malformed header entry {item!r}") from exc
+        if not isinstance(name, str) or not name:
+            raise ParseError(f"{path}: parameter name must be a non-empty string, got {name!r}")
+        if name in entries:
+            raise ParseError(f"{path}: duplicate parameter name {name!r}")
         if rows < 0 or cols < 0:
             raise ParseError(f"{path}: negative shape {rows}x{cols} for {name!r}")
         nbytes = rows * cols * 8

@@ -132,11 +132,6 @@ class TrainLog:
                          repr(rec.meta_loss), repr(rec.elapsed_seconds)]
                     )
 
-    @staticmethod
-    def read_rows(path) -> list[dict]:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return list(csv.DictReader(fh))
-
 
 # ---------------------------------------------------------------------------
 # the inner loop and the two pretraining gradients

@@ -429,12 +429,31 @@ def load_model(base_path: str) -> tuple[MultiHeadModel, dict]:
         base_path = base
     sidecar = read_sidecar(base_path)
     config = EncoderConfig.from_json_dict(sidecar["config"])
+    try:
+        alphabets = {
+            lang: Alphabet(tuple(sidecar["alphabets"][lang]))
+            for lang in sidecar.get("languages", [])
+        }
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"{base_path}.json: malformed languages or alphabets: {exc!r}") from exc
     combined = diffcore.load_params(base_path + ".params")
+    # the sidecar fixes every payload shape; checked here, a mismatch is a corrupt
+    # file rather than a DimensionError at the head check or the first encode
+    want = {
+        f"{ENCODER_PREFIX}{_layer_prefix(i)}{name}": shape
+        for i, spec in enumerate(config.layers)
+        for name, shape in diffcore.layer_param_shapes(spec).items()
+    }
+    for lang, alphabet in alphabets.items():
+        for name, shape in head_param_shapes(config, alphabet).items():
+            want[f"{HEAD_PREFIX}{lang}.{name}"] = shape
+    got = combined.shapes()
+    if got != want:
+        bad = sorted(n for n in want.keys() | got.keys() if got.get(n) != want.get(n))
+        raise ParseError(
+            f"{base_path}.params: {bad[0]!r} has shape {got.get(bad[0])}, the sidecar "
+            f"implies {want.get(bad[0])}"
+        )
     encoder = combined.subset(ENCODER_PREFIX)
-    heads = {}
-    alphabets = {}
-    for lang in sidecar.get("languages", []):
-        heads[lang] = combined.subset(f"{HEAD_PREFIX}{lang}.")
-        alphabets[lang] = Alphabet(tuple(sidecar["alphabets"][lang]))
-    model = MultiHeadModel(config, encoder, heads, alphabets)
-    return model, sidecar
+    heads = {lang: combined.subset(f"{HEAD_PREFIX}{lang}.") for lang in alphabets}
+    return MultiHeadModel(config, encoder, heads, alphabets), sidecar

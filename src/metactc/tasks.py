@@ -277,21 +277,6 @@ def generate_family(cfg: SyntheticFamilyConfig) -> list[LanguageTask]:
     return tasks
 
 
-def split_limited(task: LanguageTask, fraction: float, seed: int) -> LanguageTask:
-    """Re-draw the limited split as a seeded subset of full, round(fraction*|full|)."""
-    if not (0 < fraction <= 1):
-        raise ConfigError("fraction must be in (0, 1]")
-    rng = np.random.default_rng(seed)
-    n = round(fraction * len(task.full_split))
-    if n < 1:
-        raise ValidationError(
-            f"fraction {fraction} of {len(task.full_split)} utterances rounds to zero"
-        )
-    pick = np.sort(rng.choice(len(task.full_split), size=n, replace=False))
-    limited = tuple(task.full_split[i] for i in pick)
-    return dataclasses.replace(task, limited_split=limited)
-
-
 # ---------------------------------------------------------------------------
 # corpus files: one JSON header line, then one JSON line per utterance
 

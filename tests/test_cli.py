@@ -291,3 +291,25 @@ def test_corrupt_checkpoints_exit_3(workspace, tmp_path):
         "finetune", "--checkpoint", str(stride), "--corpus", corpus,
         "--epochs", "1", "--out", str(tmp_path / "ft_stride"),
     ]) == 3
+
+    def shorten(sidecar):
+        sidecar["alphabets"]["blue"] = sidecar["alphabets"]["blue"][:-1]
+
+    def narrow(sidecar):  # a consistent config whose widths disagree with the payload
+        layers = sidecar["config"]["layers"]
+        layers[1]["output_dim"] = layers[2]["input_dim"] = layers[2]["output_dim"] = 4
+        layers[3]["input_dim"] = 4
+
+    for case, edit in (
+        ("short", shorten),
+        ("missing", lambda sidecar: sidecar["alphabets"].pop("blue")),
+        ("narrow", narrow),
+    ):
+        bad = _copy_checkpoint(workspace, tmp_path / case)
+        sidecar = json.loads(bad.with_suffix(".json").read_text())
+        edit(sidecar)
+        bad.with_suffix(".json").write_text(json.dumps(sidecar))
+        assert main([
+            "evaluate", "--checkpoint", str(bad), "--corpus", corpus,
+            "--out", str(tmp_path / f"ev_{case}"),
+        ]) == 3, case

@@ -1,5 +1,7 @@
 """Loss, gradients, decoding, and metrics against independent oracles."""
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -319,6 +321,39 @@ def test_beam_one_equals_greedy(rng):
     for _ in range(60):
         lat = _random_lattice(rng, int(rng.integers(1, 8)), ab.n_emissions)
         assert beam_decode(lat, ab, beam=1).tolist() == greedy_decode(lat, ab).tolist()
+
+
+def _pinned_lattices():
+    """2000 seeded lattices: plain, uniform, rounded, and rounded with -inf holes.
+
+    Uniform rows and rounded logits tie many candidates at a frame's cut-off,
+    and widths up to 6 against beams of 1-5 keep the pruning busy.
+    """
+    rng = np.random.default_rng(7017)
+    for n in range(2000):
+        T, K = int(rng.integers(1, 11)), int(rng.integers(2, 7))
+        z = rng.normal(size=(T, K)) * 2.0
+        if n % 4 == 1:
+            z[:] = 0.0
+        elif n % 4 >= 2:
+            z = np.round(z)
+        if n % 4 == 3:
+            z[rng.random((T, K)) < 0.3] = -np.inf
+            z[np.arange(T), rng.integers(0, K, size=T)] = 0.0
+        m = z.max(axis=1, keepdims=True)
+        yield z - (m + np.log(np.exp(z - m).sum(axis=1, keepdims=True)))
+
+
+def test_beam_hypotheses_are_pinned():
+    # the digest was computed with the dict-of-lists beam_decode that the array
+    # version replaced; any change to scoring, merging, pruning or tie-breaking
+    # changes some of these 10 000 hypotheses
+    hyps = []
+    for lat in _pinned_lattices():
+        ab = Alphabet(tuple("abcde"[: lat.shape[1] - 1]))
+        hyps += [beam_decode(lat, ab, beam=b).tolist() for b in (1, 2, 3, 5, 20)]
+    digest = hashlib.sha256(json.dumps(hyps).encode()).hexdigest()
+    assert digest == "3d90ddf07fc0ce57bb9f98bced9cb29aa39391953b6d77085b747b3b04249dcc"
 
 
 def test_greedy_collapses_argmax():

@@ -52,7 +52,6 @@ def test_named_params_arithmetic():
     b = NamedParams({"w": np.full((2, 2), 3.0)})
     assert np.allclose(a.add(b)["w"], 5.0)
     assert np.allclose(a.scale(-1.0)["w"], -2.0)
-    assert a.zeros_like().norm() == 0.0
     assert a.max_abs_diff(b) == 1.0
     assert a.same_values(NamedParams({"w": np.full((2, 2), 2.0)}))
     assert not a.same_values(b)
@@ -300,7 +299,12 @@ def test_load_params_rejects_corruption(tmp_path, rng):
     with pytest.raises(ParseError):
         load_params(tmp_path / "junk.params")
 
-    header = b'[{"name":"v","rows":-2,"cols":2},{"name":"w","rows":2,"cols":2}]'
-    (tmp_path / "negative.params").write_bytes(header + raw[raw.index(b"\n"):])
-    with pytest.raises(ParseError):
-        load_params(tmp_path / "negative.params")
+    payload = raw[raw.index(b"\n"):]
+    for case, header in (
+        ("negative", b'[{"name":"v","rows":-2,"cols":2},{"name":"w","rows":2,"cols":2}]'),
+        ("unnamed", b'[{"name":7,"rows":2,"cols":2}]'),
+        ("duplicate", b'[{"name":"w","rows":1,"cols":2},{"name":"w","rows":1,"cols":2}]'),
+    ):
+        (tmp_path / f"{case}.params").write_bytes(header + payload)
+        with pytest.raises(ParseError):
+            load_params(tmp_path / f"{case}.params")

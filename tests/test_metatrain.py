@@ -1,4 +1,6 @@
 """Training regimes: inner loop, multitask, first-order meta, fine-tuning."""
+import csv
+
 import numpy as np
 import pytest
 
@@ -368,7 +370,8 @@ def test_train_log_roundtrip(tmp_path):
     log.append(StepRecord(2, "meta", (("a", 1.25),), 1.25, 0.2))
     path = tmp_path / "log.csv"
     log.to_csv(path)
-    rows = TrainLog.read_rows(path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 3
     assert rows[0]["task_id"] == "a"
     assert float(rows[0]["task_loss"]) == 1.5

@@ -15,7 +15,6 @@ from metactc.tasks import (
     generate_family,
     load_corpus,
     save_corpus,
-    split_limited,
 )
 
 
@@ -147,22 +146,6 @@ def test_family_prototypes_independent_of_generation():
     after = family_prototypes(cfg)
     for a, b in zip(before, after):
         assert a.tobytes() == b.tobytes()
-
-
-def test_split_limited_resamples():
-    cfg = _small()
-    task = generate_family(cfg)[0]
-    half = split_limited(task, 0.5, seed=9)
-    assert len(half.limited_split) == 6
-    assert {u.uid for u in half.limited_split} <= {u.uid for u in task.full_split}
-    again = split_limited(task, 0.5, seed=9)
-    assert [u.uid for u in again.limited_split] == [u.uid for u in half.limited_split]
-    other = split_limited(task, 0.5, seed=10)
-    assert [u.uid for u in other.limited_split] != [u.uid for u in half.limited_split]
-    with pytest.raises(ValidationError):
-        split_limited(task, 0.001, seed=0)  # rounds to zero utterances
-    with pytest.raises(ConfigError):
-        split_limited(task, 1.5, seed=0)
 
 
 # ---------------------------------------------------------------------------
