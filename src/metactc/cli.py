@@ -321,15 +321,15 @@ def cmd_curve(args) -> int:
     with _locked_out_dir(args.out):
         rows: list[tuple[str, int, float]] = []
 
-        first_model, _ = model_mod.load_model(found[0][1])
-        fresh = model_mod.init_model(first_model.config, {}, args.seed)
+        # every checkpoint loads once, before any fine-tuning, so a corrupt one fails first
+        pretrained = [(step, model_mod.load_model(base)[0]) for step, base in found]
+        fresh = model_mod.init_model(pretrained[0][1].config, {}, args.seed)
         fresh = model_mod.ensure_head(fresh, task.language_id, task.alphabet, args.seed)
         baseline = metatrain.finetune(fresh, task, cfg, split="limited", track_cer=True)
         rows.append(("no_pretrain", -1, baseline.best_val_cer))
         print(f"no-pretrain baseline: best CER {baseline.best_val_cer:.2f}")
 
-        for step, base in found:
-            loaded, _ = model_mod.load_model(base)
+        for step, loaded in pretrained:
             candidate = model_mod.ensure_head(loaded, task.language_id, task.alphabet, args.seed)
             result = metatrain.finetune(candidate, task, cfg, split="limited", track_cer=True)
             rows.append(("checkpoint", step, result.best_val_cer))

@@ -79,11 +79,11 @@ def as_labels(labels, n_symbols: int | None = None) -> LabelSequence:
     return arr
 
 
-def validate_lattice(log_probs, *, tol: float = 1e-9) -> np.ndarray:
+def validate_lattice(log_probs) -> np.ndarray:
     """Check a T x K matrix of row-normalized log-probabilities.
 
     Entries may be -inf (impossible emissions); +inf and NaN are rejected,
-    and each row must satisfy logsumexp(row) = 0 within tol.
+    and each row must satisfy logsumexp(row) = 0 within 1e-9.
     """
     lp = np.asarray(log_probs, dtype=np.float64)
     if lp.ndim != 2 or lp.shape[0] < 1 or lp.shape[1] < 2:
@@ -93,7 +93,7 @@ def validate_lattice(log_probs, *, tol: float = 1e-9) -> np.ndarray:
     if np.any(np.isnan(lp)) or np.any(lp == np.inf):
         raise ValidationError("lattice entries must be finite or -inf")
     row_lse = _logsumexp_rows(lp)
-    if not np.all(np.abs(row_lse) <= tol):
+    if not np.all(np.abs(row_lse) <= 1e-9):
         worst = float(np.max(np.abs(row_lse)))
         raise ValidationError(f"lattice rows are not normalized (worst |logsumexp| = {worst:g})")
     return lp
@@ -229,11 +229,9 @@ def ctc_loss(log_probs, target) -> tuple[float, np.ndarray]:
         step2[:-2] = np.where(skip[2:], nxt[2:], _NEG_INF)
         log_beta[t] = np.logaddexp(np.logaddexp(stay, step1), step2)
 
-    grad = np.zeros((T, K))
-    for t in range(T):
-        occ = np.full(K, _NEG_INF)
-        np.logaddexp.at(occ, ext, log_alpha[t] + log_beta[t])
-        grad[t] = -np.exp(occ - log_p)
+    occ = np.full((T, K), _NEG_INF)
+    np.logaddexp.at(occ, (np.arange(T)[:, None], ext), log_alpha + log_beta)
+    grad = -np.exp(occ - log_p)
 
     loss = float(-log_p)
     if not np.isfinite(loss):

@@ -24,8 +24,8 @@ Array = np.ndarray
 LAYER_KINDS = ("frame_stack", "affine", "tanh", "recurrent_bidi")
 
 
-def _as_matrix(value, *, copy: bool = True) -> Array:
-    """Coerce to a read-only 2-D float64 array (1-D input becomes one row)."""
+def _as_matrix(value) -> Array:
+    """A read-only 2-D float64 copy of value (1-D input becomes one row)."""
     arr = np.asarray(value, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
@@ -33,8 +33,7 @@ def _as_matrix(value, *, copy: bool = True) -> Array:
         raise DimensionError(f"expected a 2-D matrix, got ndim={arr.ndim}")
     if arr.size and not np.all(np.isfinite(arr)):
         raise NumericError("matrix contains non-finite entries")
-    if copy or arr.base is not None or arr.flags.writeable:
-        arr = np.ascontiguousarray(arr).copy()
+    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -101,15 +100,8 @@ class NamedParams:
         return sum(arr.size for arr in self._entries.values())
 
     def _check_compatible(self, other: "NamedParams") -> None:
-        if self.names() != other.names():
-            raise DimensionError(
-                f"parameter names differ: {self.names()} vs {other.names()}"
-            )
-        for name, arr in self._entries.items():
-            if arr.shape != other._entries[name].shape:
-                raise DimensionError(
-                    f"shape mismatch for {name!r}: {arr.shape} vs {other._entries[name].shape}"
-                )
+        if self.shapes() != other.shapes():
+            raise DimensionError(f"parameters differ: {self.shapes()} vs {other.shapes()}")
 
     def add(self, other: "NamedParams") -> "NamedParams":
         self._check_compatible(other)
@@ -139,13 +131,9 @@ class NamedParams:
             return False
         return all(np.array_equal(a, other._entries[n]) for n, a in self._entries.items())
 
-    def subset(self, prefix: str, *, strip: bool = True) -> "NamedParams":
-        """Entries whose name starts with prefix, optionally with it removed."""
-        picked = {
-            (n[len(prefix):] if strip else n): a
-            for n, a in self._entries.items()
-            if n.startswith(prefix)
-        }
+    def subset(self, prefix: str) -> "NamedParams":
+        """Entries whose name starts with prefix, with the prefix removed."""
+        picked = {n[len(prefix):]: a for n, a in self._entries.items() if n.startswith(prefix)}
         return NamedParams._from_owned(picked)
 
     def with_prefix(self, prefix: str) -> "NamedParams":
@@ -284,14 +272,9 @@ class ForwardCache:
 
 
 def _require_params(spec: LayerSpec, params: NamedParams) -> None:
-    for name, shape in layer_param_shapes(spec).items():
-        if name not in params:
-            raise DimensionError(f"{spec.kind} layer is missing parameter {name!r}")
-        if params[name].shape != shape:
-            raise DimensionError(
-                f"{spec.kind} parameter {name!r} has shape {params[name].shape}, "
-                f"expected {shape}"
-            )
+    want = layer_param_shapes(spec)
+    if params.shapes() != want:
+        raise DimensionError(f"{spec.kind} layer needs parameters {want}, got {params.shapes()}")
 
 
 def _check_input(spec: LayerSpec, x: Array) -> Array:
@@ -307,13 +290,11 @@ def _check_input(spec: LayerSpec, x: Array) -> Array:
     return x
 
 
-def _run_recurrence(x: Array, w_in: Array, w_rec: Array, bias: Array, reverse: bool) -> Array:
-    T = x.shape[0]
-    h = np.empty((T, w_rec.shape[0]))
-    pre = x @ w_in + bias  # bias broadcasts over frames
+def _run_recurrence(pre: Array, w_rec: Array) -> Array:
+    """Hidden states h[t] = tanh(pre[t] + h[t-1] @ w_rec), forward in time from zero."""
+    h = np.empty(pre.shape)
     state = np.zeros(w_rec.shape[0])
-    order = range(T - 1, -1, -1) if reverse else range(T)
-    for t in order:
+    for t in range(pre.shape[0]):
         state = np.tanh(pre[t] + state @ w_rec)
         h[t] = state
     return h
@@ -338,9 +319,10 @@ def forward_layer(spec: LayerSpec, params: NamedParams, x: Array) -> tuple[Array
     elif spec.kind == "tanh":
         out = np.tanh(x)
         stored.append(("y", out))
-    else:  # recurrent_bidi
-        h_f = _run_recurrence(x, params["w_in_f"], params["w_rec_f"], params["bias_f"], reverse=False)
-        h_b = _run_recurrence(x, params["w_in_b"], params["w_rec_b"], params["bias_b"], reverse=True)
+    else:  # recurrent_bidi: the backward direction is the same recurrence on reversed frames
+        h_f = _run_recurrence(x @ params["w_in_f"] + params["bias_f"], params["w_rec_f"])
+        pre_b = x @ params["w_in_b"] + params["bias_b"]
+        h_b = _run_recurrence(pre_b[::-1], params["w_rec_b"])[::-1]
         out = np.concatenate([h_f, h_b], axis=1)
         stored.extend([("x", x), ("h_f", h_f), ("h_b", h_b)])
 
@@ -353,32 +335,42 @@ def forward_layer(spec: LayerSpec, params: NamedParams, x: Array) -> tuple[Array
     return out, cache
 
 
+def _frame_sum(terms: Array) -> Array:
+    """terms summed over axis 0 from zeros, last frame first, as the time loop runs.
+
+    Whole-frame adds in a loop: np.sum adds pairwise when the other axes hold
+    a single element (hidden size 1), which changes the bits.
+    """
+    total = np.zeros(terms.shape[1:])
+    for term in terms[::-1]:
+        total += term
+    return total
+
+
 def _recurrence_grads(
-    x: Array, w_in: Array, w_rec: Array, h: Array, grad_h: Array, reverse: bool
+    x: Array, w_in: Array, w_rec: Array, h: Array, grad_h: Array
 ) -> tuple[Array, Array, Array, Array]:
-    """Backprop through one recurrence direction.
+    """Backprop through one forward-in-time recurrence.
 
     Returns (grad_x, grad_w_in, grad_w_rec, grad_bias).  grad_h is the
-    upstream gradient on the hidden states h.
+    upstream gradient on the hidden states h.  The time loop carries only the
+    recurrence; the weight gradients are frame sums after it.
     """
     T, H = h.shape
-    dx = np.zeros_like(x)
-    dw_in = np.zeros_like(w_in)
-    dw_rec = np.zeros_like(w_rec)
-    dbias = np.zeros((1, H))
-    order = list(range(T - 1, -1, -1)) if reverse else list(range(T))
+    dx = np.empty((T, w_in.shape[0]))
+    da = np.empty((T, H))
     carry = np.zeros(H)
-    for j in range(T - 1, -1, -1):
-        t = order[j]
-        da = (grad_h[t] + carry) * (1.0 - h[t] * h[t])
-        prev = h[order[j - 1]] if j > 0 else None
-        if prev is not None:
-            dw_rec += np.outer(prev, da)
-        dw_in += np.outer(x[t], da)
-        dbias[0] += da
-        dx[t] = da @ w_in.T
-        carry = da @ w_rec.T
-    return dx, dw_in, dw_rec, dbias
+    for t in range(T - 1, -1, -1):
+        d = (grad_h[t] + carry) * (1.0 - h[t] * h[t])
+        da[t] = d
+        dx[t] = d @ w_in.T
+        carry = d @ w_rec.T
+    dw_in = _frame_sum(x[:, :, None] * da[:, None, :])
+    dw_rec = _frame_sum(h[:-1, :, None] * da[1:, None, :])  # frame t starts from h[t-1]
+    return dx, dw_in, dw_rec, _frame_sum(da)[None]
+
+
+_NO_PARAMS = NamedParams({})  # the gradient of a stateless layer
 
 
 def backward_layer(
@@ -397,8 +389,7 @@ def backward_layer(
     if spec.kind == "frame_stack":
         T = cache.in_shape[0]
         flat = grad_out.reshape(-1, spec.input_dim)
-        grad_x = flat[:T].copy()
-        return grad_x, NamedParams({})
+        return flat[:T].copy(), _NO_PARAMS
     if spec.kind == "affine":
         x = cache.get("x")
         grad_x = grad_out @ params["w"].T
@@ -407,17 +398,17 @@ def backward_layer(
         return grad_x, NamedParams._from_owned({"w": gw, "b": gb})
     if spec.kind == "tanh":
         y = cache.get("y")
-        return grad_out * (1.0 - y * y), NamedParams({})
+        return grad_out * (1.0 - y * y), _NO_PARAMS
 
     # recurrent_bidi
     x = cache.get("x")
     h_f, h_b = cache.get("h_f"), cache.get("h_b")
     H = spec.hidden
     dx_f, dwi_f, dwr_f, db_f = _recurrence_grads(
-        x, params["w_in_f"], params["w_rec_f"], h_f, grad_out[:, :H], reverse=False
+        x, params["w_in_f"], params["w_rec_f"], h_f, grad_out[:, :H]
     )
     dx_b, dwi_b, dwr_b, db_b = _recurrence_grads(
-        x, params["w_in_b"], params["w_rec_b"], h_b, grad_out[:, H:], reverse=True
+        x[::-1], params["w_in_b"], params["w_rec_b"], h_b[::-1], grad_out[::-1, H:]
     )
     grads = NamedParams._from_owned(
         {
@@ -425,7 +416,7 @@ def backward_layer(
             "w_in_b": dwi_b, "w_rec_b": dwr_b, "bias_b": db_b,
         }
     )
-    return dx_f + dx_b, grads
+    return dx_f + dx_b[::-1], grads
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +517,8 @@ def load_params(path) -> NamedParams:
         if offset + nbytes > len(blob):
             raise ParseError(f"{path}: payload truncated at {name!r}")
         arr = np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=offset)
+        if not np.all(np.isfinite(arr)):
+            raise ParseError(f"{path}: non-finite value in {name!r}")
         entries[name] = arr.reshape(rows, cols)
         offset += nbytes
     if offset != len(blob):

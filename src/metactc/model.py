@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import diffcore
-from .ctc import Alphabet, as_labels, ctc_loss
+from .ctc import Alphabet, ctc_loss
 from .diffcore import Array, ForwardCache, LayerSpec, NamedParams
 from .errors import (
     ConfigError,
@@ -296,10 +296,8 @@ def _utterance_grads_raw(
     model: MultiHeadModel, language: str, features, labels
 ) -> tuple[float, dict[str, Array], dict[str, Array]]:
     """Single-utterance loss and raw gradient arrays (no NamedParams wrapping)."""
-    head = model.head(language)
-    labels = as_labels(labels, model.alphabet(language).size)
     hidden, caches = encode(model, features)
-    log_probs = _log_softmax(hidden @ head["w"] + head["b"])
+    log_probs = head_forward(model, language, hidden)
     loss, g_lp = ctc_loss(log_probs, labels)
 
     # through the log-softmax: dlogit = g - softmax * rowsum(g)
@@ -308,7 +306,7 @@ def _utterance_grads_raw(
         "w": hidden.T @ g_logit,
         "b": g_logit.sum(axis=0, keepdims=True),
     }
-    g_hidden = g_logit @ head["w"].T
+    g_hidden = g_logit @ model.head(language)["w"].T
 
     enc_grads: dict[str, Array] = {}
     g = g_hidden
@@ -319,14 +317,6 @@ def _utterance_grads_raw(
         for name, arr in layer_grads.items():
             enc_grads[_layer_prefix(i) + name] = arr
     return loss, enc_grads, head_grads
-
-
-def utterance_loss_and_grads(
-    model: MultiHeadModel, language: str, features, labels
-) -> tuple[float, NamedParams, NamedParams]:
-    """CTC loss of one utterance plus gradients for encoder and head."""
-    loss, enc, head = _utterance_grads_raw(model, language, features, labels)
-    return loss, NamedParams(enc), NamedParams(head)
 
 
 def _accumulate(total: dict[str, Array] | None, part: dict[str, Array]) -> dict[str, Array]:

@@ -32,8 +32,8 @@ from .metatrain import (
     meta_episode,
     multitask_grads,
 )
-from .model import default_encoder_config, init_model, utterance_loss_and_grads
-from .tasks import SyntheticFamilyConfig, generate_family
+from .model import batch_loss_and_grads, default_encoder_config, init_model
+from .tasks import SyntheticFamilyConfig, Utterance, generate_family
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,7 @@ def _tiny_model(seed: int, n_symbols: int = 2):
 def check_end_to_end_gradients(
     n_instances: int = 20, seed: int = 7013, tol: float = 1e-5
 ) -> CheckResult:
-    """Full-model utterance gradients (encoder and head) match finite differences."""
+    """Trainer gradients (batch_loss_and_grads, one utterance) match finite differences."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(n_instances):
@@ -247,7 +247,8 @@ def check_end_to_end_gradients(
         usable = frames // 2 + (frames % 2)  # frames after stride-2 stacking
         target = _random_feasible_target(rng, alphabet.size, usable)
 
-        loss, enc_g, head_g = utterance_loss_and_grads(model, "toy", x, target)
+        batch = [Utterance("toy", x, target)]
+        _, enc_g, head_g = batch_loss_and_grads(model, "toy", batch)
         analytic = NamedParams.union(enc_g, head_g.with_prefix("head."))
 
         combined = NamedParams.union(
@@ -259,7 +260,7 @@ def check_end_to_end_gradients(
             enc = NamedParams({n: p[n] for n in enc_names})
             head = p.subset("head.")
             m = model.with_encoder(enc).with_head("toy", head)
-            return utterance_loss_and_grads(m, "toy", x, target)[0]
+            return batch_loss_and_grads(m, "toy", batch)[0]
 
         fd = finite_diff_grad(pipeline, combined)
         worst = max(worst, grad_relative_error(analytic, fd))

@@ -2,8 +2,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from metactc import metatrain
+from metactc import model as model_mod
 from metactc.cli import main
 
 
@@ -224,6 +227,44 @@ def test_curve_steps_filter(workspace, tmp_path):
     ]) == 2
 
 
+def test_curve_loads_each_checkpoint_once(workspace, tmp_path, monkeypatch):
+    corpus = str(workspace / "corpora" / "blue.jsonl")
+    loaded, tuned = [], []
+    load, finetune = model_mod.load_model, metatrain.finetune
+
+    def counting_load(base):
+        loaded.append(base)
+        return load(base)
+
+    def counting_finetune(*args, **kwargs):
+        tuned.append(args)
+        return finetune(*args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "load_model", counting_load)
+    monkeypatch.setattr(metatrain, "finetune", counting_finetune)
+    assert main([
+        "curve", "--checkpoints", str(workspace / "pre"), "--corpus", corpus,
+        "--epochs", "1", "--beam", "1", "--out", str(tmp_path / "cv"),
+    ]) == 0
+    assert len(loaded) == len(set(loaded)) == 2
+    assert len(tuned) == 3
+
+    # a corrupt later checkpoint fails before the baseline is fine-tuned
+    late = tmp_path / "late"
+    late.mkdir()
+    for step in ("000002", "000004"):
+        for ext in (".params", ".json"):
+            name = f"checkpoint_{step}{ext}"
+            (late / name).write_bytes((workspace / "pre" / name).read_bytes())
+    _write_nan(late / "checkpoint_000004")
+    tuned.clear()
+    assert main([
+        "curve", "--checkpoints", str(late), "--corpus", corpus,
+        "--epochs", "1", "--out", str(tmp_path / "cv_late"),
+    ]) == 3
+    assert tuned == []
+
+
 def test_curve_missing_checkpoints_exits_2(workspace, tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -260,8 +301,25 @@ def _copy_checkpoint(workspace, directory):
     return directory / "checkpoint_000004"
 
 
-def test_corrupt_checkpoints_exit_3(workspace, tmp_path):
+def _write_nan(base):
+    """Overwrite the first payload float of checkpoint <base> with a NaN."""
+    raw = base.with_suffix(".params").read_bytes()
+    header, _, payload = raw.partition(b"\n")
+    nan = np.array([np.nan], dtype="<f8").tobytes()
+    base.with_suffix(".params").write_bytes(header + b"\n" + nan + payload[8:])
+
+
+def test_corrupt_checkpoints_exit_3(workspace, tmp_path, capsys):
     corpus = str(workspace / "corpora" / "blue.jsonl")
+
+    nan = _copy_checkpoint(workspace, tmp_path / "nan")
+    _write_nan(nan)
+    capsys.readouterr()
+    assert main([
+        "evaluate", "--checkpoint", str(nan), "--corpus", corpus,
+        "--out", str(tmp_path / "ev_nan"),
+    ]) == 3
+    assert str(nan.with_suffix(".params")) in capsys.readouterr().err
 
     bad_json = _copy_checkpoint(workspace, tmp_path / "bad_json")
     bad_json.with_suffix(".json").write_text("{bad")

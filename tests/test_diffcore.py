@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from metactc import ctc
 from metactc.diffcore import (
     LAYER_KINDS,
     LayerSpec,
@@ -73,11 +74,11 @@ def test_named_params_prefix_tools():
                      "head.w": np.full((1, 1), 2.0)})
     enc = p.subset("enc.")
     assert enc.names() == ("b", "w")
-    kept = p.subset("enc.", strip=False)
+    kept = p.subset("enc.").with_prefix("enc.")
     assert kept.names() == ("enc.b", "enc.w")
     back = enc.with_prefix("enc.")
     assert back.names() == ("enc.b", "enc.w")
-    merged = NamedParams.union(back, p.subset("head.", strip=False))
+    merged = NamedParams.union(back, p.subset("head.").with_prefix("head."))
     assert merged.names() == ("enc.b", "enc.w", "head.w")
     with pytest.raises(ValueError):
         NamedParams.union(back, back)  # duplicate names
@@ -210,6 +211,112 @@ def test_recurrent_input_gradient_matches_fd(rng):
     assert np.max(np.abs(gx - fd)) < 1e-7
 
 
+# Per-frame references for the recurrence and the CTC occupancies: each frame
+# does its own updates, in the order the vectorised kernels must reproduce.
+
+
+def _ref_run_recurrence(x, w_in, w_rec, bias, reverse):
+    T = x.shape[0]
+    h = np.empty((T, w_rec.shape[0]))
+    pre = x @ w_in + bias
+    state = np.zeros(w_rec.shape[0])
+    order = range(T - 1, -1, -1) if reverse else range(T)
+    for t in order:
+        state = np.tanh(pre[t] + state @ w_rec)
+        h[t] = state
+    return h
+
+
+def _ref_recurrence_grads(x, w_in, w_rec, h, grad_h, reverse):
+    T, H = h.shape
+    dx = np.zeros_like(x)
+    dw_in = np.zeros_like(w_in)
+    dw_rec = np.zeros_like(w_rec)
+    dbias = np.zeros((1, H))
+    order = list(range(T - 1, -1, -1)) if reverse else list(range(T))
+    carry = np.zeros(H)
+    for j in range(T - 1, -1, -1):
+        t = order[j]
+        da = (grad_h[t] + carry) * (1.0 - h[t] * h[t])
+        prev = h[order[j - 1]] if j > 0 else None
+        if prev is not None:
+            dw_rec += np.outer(prev, da)
+        dw_in += np.outer(x[t], da)
+        dbias[0] += da
+        dx[t] = da @ w_in.T
+        carry = da @ w_rec.T
+    return dx, dw_in, dw_rec, dbias
+
+
+def _ref_ctc_grad(lp, target):
+    T, K = lp.shape
+    log_p, log_alpha, ext, skip, emit = ctc._alpha_pass(lp, target)
+    S = ext.size
+    log_beta = np.full((T, S), -np.inf)
+    log_beta[T - 1, S - 1] = 0.0
+    if S > 1:
+        log_beta[T - 1, S - 2] = 0.0
+    for t in range(T - 2, -1, -1):
+        nxt = log_beta[t + 1] + emit[t + 1]
+        step1 = np.full(S, -np.inf)
+        step1[:-1] = nxt[1:]
+        step2 = np.full(S, -np.inf)
+        step2[:-2] = np.where(skip[2:], nxt[2:], -np.inf)
+        log_beta[t] = np.logaddexp(np.logaddexp(nxt, step1), step2)
+    grad = np.zeros((T, K))
+    for t in range(T):
+        occ = np.full(K, -np.inf)
+        np.logaddexp.at(occ, ext, log_alpha[t] + log_beta[t])
+        grad[t] = -np.exp(occ - log_p)
+    return grad
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("width,hidden", [(6, 8), (1, 1)])
+@pytest.mark.parametrize("frames", [1, 2, 16])
+def test_recurrence_bits_match_per_frame_reference(frames, width, hidden):
+    rng = np.random.default_rng(400 + frames)
+    spec = LayerSpec("recurrent_bidi", width, 2 * hidden, hidden=hidden)
+    params = init_layer_params(spec, rng)
+    x = rng.normal(size=(frames, width))
+    x[:, 0] = 0.0  # products with a zero input carry signed zeros into dw_in
+    out, cache = forward_layer(spec, params, x)
+    h = {
+        d: _ref_run_recurrence(
+            x, params[f"w_in_{d}"], params[f"w_rec_{d}"], params[f"bias_{d}"], d == "b"
+        )
+        for d in ("f", "b")
+    }
+    assert _same_bits(out, np.concatenate([h["f"], h["b"]], axis=1))
+
+    probe = rng.normal(size=out.shape)
+    gx, grads = backward_layer(spec, params, cache, probe)
+    ref = {
+        d: _ref_recurrence_grads(
+            x, params[f"w_in_{d}"], params[f"w_rec_{d}"], h[d], probe[:, cols], d == "b"
+        )
+        for d, cols in (("f", slice(0, hidden)), ("b", slice(hidden, None)))
+    }
+    assert _same_bits(gx, ref["f"][0] + ref["b"][0])
+    for d, (_, dw_in, dw_rec, dbias) in ref.items():
+        assert _same_bits(grads[f"w_in_{d}"], dw_in)
+        assert _same_bits(grads[f"w_rec_{d}"], dw_rec)
+        assert _same_bits(grads[f"bias_{d}"], dbias)
+
+
+@pytest.mark.parametrize("frames", [1, 2, 16])
+def test_ctc_grad_bits_match_per_frame_reference(frames):
+    rng = np.random.default_rng(500 + frames)
+    logits = rng.normal(size=(frames, 5))
+    lp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    target = rng.integers(0, 4, size=max(1, frames // 3))
+    _, grad = ctc.ctc_loss(lp, target)
+    assert _same_bits(grad, _ref_ctc_grad(lp, target))
+
+
 def test_backward_rejects_foreign_cache(rng):
     spec = _spec("affine")
     params = init_layer_params(spec, rng)
@@ -308,3 +415,8 @@ def test_load_params_rejects_corruption(tmp_path, rng):
         (tmp_path / f"{case}.params").write_bytes(header + payload)
         with pytest.raises(ParseError):
             load_params(tmp_path / f"{case}.params")
+
+    nan = raw[: raw.index(b"\n") + 1] + np.array([np.nan], dtype="<f8").tobytes() + raw[-24:]
+    (tmp_path / "nan.params").write_bytes(nan)
+    with pytest.raises(ParseError, match="nan.params"):
+        load_params(tmp_path / "nan.params")

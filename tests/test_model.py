@@ -23,7 +23,6 @@ from metactc.model import (
     load_model,
     save_model,
     transcribe,
-    utterance_loss_and_grads,
 )
 
 
@@ -100,7 +99,8 @@ def test_end_to_end_gradients_match_fd(rng):
     _, model = _tiny(seed=1)
     feats = rng.normal(size=(6, 3))
     labels = [0, 1]
-    loss, genc, ghead = utterance_loss_and_grads(model, "xx", feats, labels)
+    batch = [_Utt(feats, labels)]
+    loss, genc, ghead = batch_loss_and_grads(model, "xx", batch)
     assert np.isfinite(loss)
     joint = NamedParams.union(
         model.encoder_params, model.heads["xx"].with_prefix("head.")
@@ -109,11 +109,11 @@ def test_end_to_end_gradients_match_fd(rng):
     def pipeline(params):
         m = MultiHeadModel(
             model.config,
-            params.subset("enc", strip=False),
+            params.subset("enc").with_prefix("enc"),
             {"xx": params.subset("head.")},
             model.alphabets,
         )
-        value, _, _ = utterance_loss_and_grads(m, "xx", feats, labels)
+        value, _, _ = batch_loss_and_grads(m, "xx", batch)
         return value
 
     fd = finite_diff_grad(pipeline, joint)
